@@ -105,18 +105,12 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Snapshots every counter, combining the engine-side numbers with the
-    /// explanation cache's hit/miss counters, the current model epoch, and
-    /// the active scoring kernel.
-    pub fn snapshot(
-        &self,
-        cache: crate::cache::CacheStats,
-        model_epoch: u64,
-        kernel: &str,
-    ) -> ServeMetrics {
+    /// explanation cache's hit/miss counters and the current model epoch.
+    pub fn snapshot(&self, cache: crate::cache::CacheStats, model_epoch: u64) -> ServeMetrics {
         let batches = self.batches.load(Ordering::Relaxed);
         let samples = self.samples.load(Ordering::Relaxed);
         ServeMetrics {
-            kernel: kernel.to_string(),
+            kernel: crate::ForestKernel::Compiled.name().to_string(),
             requests_total: self.requests.load(Ordering::Relaxed),
             rejected_total: self.rejected.load(Ordering::Relaxed),
             deadline_shed_total: self.deadline_shed.load(Ordering::Relaxed),
@@ -273,9 +267,9 @@ mod tests {
         m.batches.store(4, Ordering::Relaxed);
         m.samples.store(10, Ordering::Relaxed);
         let cache = crate::cache::CacheStats { hits: 3, misses: 1, len: 2, capacity: 8 };
-        let snap = m.snapshot(cache, 2, "bitvector");
+        let snap = m.snapshot(cache, 2);
         assert_eq!(snap.model_epoch, 2);
-        assert_eq!(snap.kernel, "bitvector");
+        assert_eq!(snap.kernel, "compiled");
         assert!((snap.mean_batch - 2.5).abs() < 1e-12);
         assert!((snap.cache_hit_rate - 0.75).abs() < 1e-12);
         let json = serde_json::to_string(&snap).expect("serializable");

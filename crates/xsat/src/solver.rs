@@ -660,13 +660,13 @@ mod tests {
         let mut cnf = Cnf::new();
         let p: Vec<Vec<Lit>> =
             (0..3).map(|_| (0..2).map(|_| Lit::pos(cnf.new_var())).collect()).collect();
-        for i in 0..3 {
-            cnf.add_clause(&[p[i][0], p[i][1]]);
+        for pigeon in &p {
+            cnf.add_clause(&[pigeon[0], pigeon[1]]);
         }
         for j in 0..2 {
-            for a in 0..3 {
-                for b in a + 1..3 {
-                    cnf.add_clause(&[p[a][j].negate(), p[b][j].negate()]);
+            for (a, pa) in p.iter().enumerate() {
+                for pb in &p[a + 1..] {
+                    cnf.add_clause(&[pa[j].negate(), pb[j].negate()]);
                 }
             }
         }
@@ -705,14 +705,13 @@ mod tests {
         let mut cnf = Cnf::new();
         let p: Vec<Vec<Lit>> =
             (0..5).map(|_| (0..4).map(|_| Lit::pos(cnf.new_var())).collect()).collect();
-        for i in 0..5 {
-            let row: Vec<Lit> = p[i].clone();
-            cnf.add_clause(&row);
+        for pigeon in &p {
+            cnf.add_clause(pigeon);
         }
         for j in 0..4 {
-            for a in 0..5 {
-                for b in a + 1..5 {
-                    cnf.add_clause(&[p[a][j].negate(), p[b][j].negate()]);
+            for (a, pa) in p.iter().enumerate() {
+                for pb in &p[a + 1..] {
+                    cnf.add_clause(&[pa[j].negate(), pb[j].negate()]);
                 }
             }
         }
