@@ -2,9 +2,15 @@
 //! trained model move between flow iterations, machines, and tool versions
 //! without silently serving garbage.
 //!
+//! The same container ([`encode_container`] / [`decode_container`]) also
+//! frames the supervisor's stage checkpoints. Model payloads are
+//! `serde_json`; checkpoint payloads are little-endian binary (see
+//! `DESIGN.md` §9).
+//!
 //! # Format (version 1)
 //!
-//! A fixed 32-byte header followed by a `serde_json` payload:
+//! A fixed 32-byte header followed by the payload (`serde_json` for a
+//! model):
 //!
 //! ```text
 //! offset  size  field
@@ -15,7 +21,7 @@
 //!     12     8  feature-schema fingerprint, u64 LE
 //!     20     8  payload length in bytes, u64 LE
 //!     28     4  CRC32 (IEEE) over the payload, u32 LE
-//!     32     —  serde_json payload of the model
+//!     32     —  payload: serde_json model, or binary stage checkpoint
 //! ```
 //!
 //! Decoding validates strictly in this order — truncated header, magic,
@@ -161,10 +167,14 @@ impl SavedModel {
     }
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+/// Slicing-by-8 lookup tables: `CRC32_TABLES[0]` is the classic bytewise
+/// table, and `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight table reads fold eight input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE 802.3, reflected) of `data` — the checksum guarding the
-/// artifact payload. Table-driven, table built at compile time.
+/// artifact payload. Table-driven (slicing-by-8), tables built at compile
+/// time.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = Crc32::new();
     crc.update(data);
@@ -192,12 +202,26 @@ impl Crc32 {
         Self { state: !0u32 }
     }
 
-    /// Feeds `data` into the digest.
+    /// Feeds `data` into the digest, eight bytes per step.
     pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.state =
-                (self.state >> 8) ^ CRC32_TABLE[((self.state ^ u32::from(b)) & 0xff) as usize];
+        let t = &CRC32_TABLES;
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][word[4] as usize]
+                ^ t[2][word[5] as usize]
+                ^ t[1][word[6] as usize]
+                ^ t[0][word[7] as usize];
         }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
+        }
+        self.state = crc;
     }
 
     /// The CRC32 of everything fed so far. Does not consume the digest:
@@ -207,8 +231,8 @@ impl Crc32 {
     }
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -217,10 +241,20 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Assembles a versioned, checksummed container around `payload`.
@@ -584,6 +618,48 @@ mod tests {
             assert_eq!(ModelKind::from_code(kind.code()), Some(kind));
         }
         assert_eq!(ModelKind::from_code(4), None);
+    }
+
+    /// Bit-at-a-time CRC32 straight from the polynomial: the reference the
+    /// table-driven digest must match.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { 0xedb8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Any slice of any buffer — every length, every misaligned start —
+        /// streamed in arbitrary splits digests to the bitwise reference.
+        #[test]
+        fn crc32_matches_the_bitwise_reference(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            offset in 0usize..8,
+            splits in proptest::collection::vec(0usize..300, 0..6),
+        ) {
+            let data = &data[offset.min(data.len())..];
+            let reference = crc32_bitwise(data);
+            proptest::prop_assert_eq!(crc32(data), reference);
+            let mut cuts: Vec<usize> = splits.iter().map(|s| s % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut digest = Crc32::new();
+            let mut start = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                digest.update(&data[start..cut]);
+                start = cut;
+            }
+            proptest::prop_assert_eq!(digest.finalize(), reference);
+        }
     }
 
     #[test]

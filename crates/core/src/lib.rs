@@ -45,6 +45,7 @@
 //! ```
 
 pub mod artifact;
+mod checkpoint;
 pub mod eval;
 pub mod explain;
 pub mod faults;

@@ -64,9 +64,12 @@ impl PipelineConfig {
     }
 
     /// A stable fingerprint of this configuration: CRC32 of its canonical
-    /// JSON, widened to `u64`. Stage checkpoints and run manifests are
-    /// stamped with it, so resuming a run under a different configuration is
-    /// rejected instead of silently mixing incompatible intermediate state.
+    /// JSON, widened to `u64`. Stage checkpoints (in their container
+    /// header) and run manifests are stamped with it, so resuming a run
+    /// under a different configuration is rejected instead of silently
+    /// mixing incompatible intermediate state. It identifies the
+    /// configuration only; a checkpoint payload's encoding is identified by
+    /// the payload's own leading codec-version byte.
     pub fn fingerprint(&self) -> u64 {
         let json = serde_json::to_vec(self).expect("pipeline config serializes");
         u64::from(crate::artifact::crc32(&json))

@@ -6,10 +6,11 @@
 //! DRC, extract — under adult supervision:
 //!
 //! - each completed stage is written to disk as a **checksummed
-//!   checkpoint** (the [`crate::artifact`] container format) together with
-//!   a snapshot of the RNG state, so a crashed or cancelled run resumes
-//!   from the last good stage *bit-exactly* — a resumed run produces the
-//!   same features as an uninterrupted one;
+//!   checkpoint** (the [`crate::artifact`] container format around a
+//!   little-endian binary payload) together with a snapshot of the RNG
+//!   state, so a crashed or cancelled run resumes from the last good stage
+//!   *bit-exactly* — a resumed run produces the same features as an
+//!   uninterrupted one;
 //! - a **run manifest** (`manifest.json`) records the configuration
 //!   fingerprint and per-design progress; resuming under a different
 //!   configuration is rejected with a typed error instead of silently
@@ -23,7 +24,8 @@
 //!   suite continues;
 //! - a corrupt or truncated checkpoint is detected by the container CRC,
 //!   counted as a recovery event, and recomputed from the last good stage —
-//!   never a panic.
+//!   never a panic. So is a checkpoint in an encoding this build does not
+//!   read, such as the JSON payloads of older builds.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -34,6 +36,7 @@ use std::time::Duration;
 use drcshap_drc::{run_drc, DrcReport};
 use drcshap_features::{extract_design, FeatureMatrix};
 use drcshap_geom::budget::{BudgetState, CancelToken, StageBudget};
+use drcshap_geom::codec::{CodecError, Decode, Encode, Reader};
 use drcshap_ml::{DrcshapError, PipelineError};
 use drcshap_netlist::{suite::DesignSpec, synth, Design};
 use drcshap_place::place_budgeted;
@@ -44,7 +47,8 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::artifact::{decode_container, encode_container};
+use crate::artifact::encode_container;
+use crate::checkpoint::{self, Checkpoint, StagePayload};
 use crate::faults::{StageFault, StageFaultKind};
 use crate::pipeline::{DesignBundle, PipelineConfig};
 
@@ -110,67 +114,43 @@ impl std::fmt::Display for Stage {
 }
 
 /// A restorable snapshot of the pipeline RNG ([`ChaCha8Rng`]), captured at
-/// each stage boundary. The 128-bit word position is stored as two `u64`
-/// halves because JSON has no 128-bit integer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// each stage boundary and stored in the stage's checkpoint.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RngSnapshot {
     seed: [u8; 32],
     stream: u64,
-    word_pos_hi: u64,
-    word_pos_lo: u64,
+    word_pos: u128,
 }
 
 impl RngSnapshot {
-    fn capture(rng: &ChaCha8Rng) -> Self {
-        let word_pos = rng.get_word_pos();
-        Self {
-            seed: rng.get_seed(),
-            stream: rng.get_stream(),
-            word_pos_hi: (word_pos >> 64) as u64,
-            word_pos_lo: word_pos as u64,
-        }
+    pub(crate) fn capture(rng: &ChaCha8Rng) -> Self {
+        Self { seed: rng.get_seed(), stream: rng.get_stream(), word_pos: rng.get_word_pos() }
     }
 
-    fn restore(&self) -> ChaCha8Rng {
+    pub(crate) fn restore(&self) -> ChaCha8Rng {
         let mut rng = ChaCha8Rng::from_seed(self.seed);
         rng.set_stream(self.stream);
-        rng.set_word_pos((u128::from(self.word_pos_hi) << 64) | u128::from(self.word_pos_lo));
+        rng.set_word_pos(self.word_pos);
         rng
     }
 }
 
-/// The output of one completed stage, as persisted in its checkpoint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum StagePayload {
-    /// Synth and Place checkpoints both store the (partially built) design.
-    Design(Box<Design>),
-    /// Route checkpoint: the routing outcome.
-    Route(Box<RouteOutcome>),
-    /// DRC checkpoint: the labelling report.
-    Drc(Box<DrcReport>),
-    /// Extract checkpoint: the feature matrix.
-    Extract(Box<FeatureMatrix>),
-}
-
-impl StagePayload {
-    fn matches(&self, stage: Stage) -> bool {
-        matches!(
-            (self, stage),
-            (StagePayload::Design(_), Stage::Synth | Stage::Place)
-                | (StagePayload::Route(_), Stage::Route)
-                | (StagePayload::Drc(_), Stage::Drc)
-                | (StagePayload::Extract(_), Stage::Extract)
-        )
+impl Encode for RngSnapshot {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.seed);
+        self.stream.encode(out);
+        out.extend_from_slice(&self.word_pos.to_le_bytes());
     }
 }
 
-/// One stage checkpoint: the stage's output, the RNG state *after* the
-/// stage, and whether the stage finished degraded.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Checkpoint {
-    rng: RngSnapshot,
-    degraded: bool,
-    payload: StagePayload,
+impl Decode for RngSnapshot {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            seed: r.array()?,
+            stream: u64::decode(r)?,
+            word_pos: u128::from_le_bytes(r.array()?),
+        })
+    }
 }
 
 /// Per-design progress record in the run manifest.
@@ -373,7 +353,8 @@ fn update_manifest(
 
 /// Loads one stage checkpoint. `Ok(None)` means "no checkpoint" (run the
 /// stage); `Err(detail)` means the file exists but is unusable (corrupt,
-/// wrong kind, wrong fingerprint) and must be recomputed.
+/// wrong kind, wrong fingerprint, unsupported encoding) and must be
+/// recomputed.
 fn load_checkpoint(
     path: &Path,
     stage: Stage,
@@ -384,15 +365,7 @@ fn load_checkpoint(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.to_string()),
     };
-    let (kind, payload) = decode_container(&bytes, fingerprint).map_err(|e| e.to_string())?;
-    if kind != stage.code() {
-        return Err(format!("kind byte {kind:#04x} is not a {stage} checkpoint"));
-    }
-    let checkpoint: Checkpoint = serde_json::from_slice(payload).map_err(|e| e.to_string())?;
-    if !checkpoint.payload.matches(stage) {
-        return Err(format!("payload variant does not match stage {stage}"));
-    }
-    Ok(Some(checkpoint))
+    checkpoint::parse(&bytes, stage, fingerprint).map(Some)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -516,9 +489,13 @@ fn run_design_attempt(
                     continue;
                 }
                 Ok(None) => resuming = false,
-                Err(_detail) => {
-                    // Corrupt checkpoint: recompute from here on. The CRC
-                    // caught it; recovery is recomputation, never a panic.
+                Err(detail) => {
+                    // Corrupt or unreadable checkpoint: recompute from here
+                    // on. Recovery is recomputation, never a panic.
+                    let _recovered =
+                        telemetry::span_with("supervisor/checkpoint_recovered", || {
+                            format!("{}: {detail}", path.display())
+                        });
                     stats.recovered += 1;
                     telemetry::counter("supervisor/checkpoints_recovered", 1);
                     resuming = false;
@@ -575,19 +552,14 @@ fn run_design_attempt(
             stats.degraded.push(stage);
         }
 
-        let payload = match stage {
-            Stage::Synth | Stage::Place => {
-                StagePayload::Design(Box::new(state.design.clone().expect("stage ran")))
-            }
-            Stage::Route => StagePayload::Route(Box::new(state.route.clone().expect("stage ran"))),
-            Stage::Drc => StagePayload::Drc(Box::new(state.report.clone().expect("stage ran"))),
-            Stage::Extract => {
-                StagePayload::Extract(Box::new(state.features.clone().expect("stage ran")))
-            }
+        let output: &dyn Encode = match stage {
+            Stage::Synth | Stage::Place => state.design.as_ref().expect("stage ran"),
+            Stage::Route => state.route.as_ref().expect("stage ran"),
+            Stage::Drc => state.report.as_ref().expect("stage ran"),
+            Stage::Extract => state.features.as_ref().expect("stage ran"),
         };
-        let checkpoint = Checkpoint { rng: RngSnapshot::capture(&rng), degraded, payload };
-        let json = serde_json::to_vec(&checkpoint).expect("checkpoint serializes");
-        write_atomic(&path, &encode_container(stage.code(), fingerprint, &json))?;
+        let payload = checkpoint::encode(stage, &rng, degraded, output);
+        write_atomic(&path, &encode_container(stage.code(), fingerprint, &payload))?;
         if corrupt_after {
             let mut bytes = std::fs::read(&path)
                 .map_err(|e| DrcshapError::io(path.display().to_string(), e))?;

@@ -1,7 +1,7 @@
 //! The DRC report: violations, per-g-cell hotspot labels, and the oracle's
 //! internal risk field (exposed for validation and diagnostics).
 
-use drcshap_geom::{GcellGrid, GcellId};
+use drcshap_geom::{codec_struct, GcellGrid, GcellId};
 use serde::{Deserialize, Serialize};
 
 use crate::violation::Violation;
@@ -75,6 +75,8 @@ impl DrcReport {
         out
     }
 }
+
+codec_struct!(DrcReport { violations: Vec<Violation>, labels: Vec<bool>, risk: Vec<f64> });
 
 #[cfg(test)]
 mod tests {

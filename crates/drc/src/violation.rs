@@ -1,7 +1,7 @@
 //! DRC violation records: kind, layer and bounding box — the shape of the
 //! data a sign-off DRC run reports (and what the paper's Fig. 3 overlays).
 
-use drcshap_geom::Rect;
+use drcshap_geom::{codec_enum, codec_struct, Rect};
 use drcshap_route::MetalLayer;
 use serde::{Deserialize, Serialize};
 
@@ -51,6 +51,10 @@ impl std::fmt::Display for Violation {
         write!(f, "{} in {} at {}", self.kind, self.layer, self.bbox)
     }
 }
+
+codec_struct!(Violation { kind: ViolationKind, layer: MetalLayer, bbox: Rect });
+
+codec_enum!(ViolationKind { Short = 0, EolSpacing = 1, DiffNetSpacing = 2 });
 
 #[cfg(test)]
 mod tests {

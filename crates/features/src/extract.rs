@@ -1,5 +1,6 @@
 //! Feature extraction over a placed-and-routed design.
 
+use drcshap_geom::codec::{CodecError, Decode, Encode, Reader};
 use drcshap_geom::{GcellGrid, Window3x3};
 use drcshap_netlist::{Design, NetKind};
 use drcshap_route::{RouteOutcome, ALL_METALS, ALL_VIAS};
@@ -320,6 +321,35 @@ fn fill_row(
     debug_assert_eq!(k, row.len());
 }
 
+impl Encode for FeatureMatrix {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.schema.encode(out);
+        self.n_samples.encode(out);
+        self.data.encode(out);
+    }
+}
+
+impl Decode for FeatureMatrix {
+    /// Decodes a matrix; its data must hold exactly `n_samples` rows of
+    /// the schema's width.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let matrix = Self {
+            schema: FeatureSchema::decode(r)?,
+            n_samples: usize::decode(r)?,
+            data: Vec::decode(r)?,
+        };
+        if matrix.n_samples.checked_mul(matrix.schema.len()) != Some(matrix.data.len()) {
+            return Err(CodecError::Invalid(format!(
+                "{} values do not form {} rows of {} features",
+                matrix.data.len(),
+                matrix.n_samples,
+                matrix.schema.len()
+            )));
+        }
+        Ok(matrix)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,6 +371,39 @@ mod tests {
         let route = route_design(&d, &RouteConfig::default(), &mut rng);
         let fm = extract_design(&d, &route);
         (d, route, fm)
+    }
+
+    #[test]
+    fn feature_matrix_codec_keeps_every_bit_pattern() {
+        use drcshap_geom::codec::decode_exact;
+        let (_, _, mut fm) = pipeline("fft_1", 0.1);
+        let specials = [f32::NAN, -f32::NAN, -0.0, f32::INFINITY, f32::NEG_INFINITY];
+        for (v, special) in fm.data.iter_mut().zip(specials) {
+            *v = special;
+        }
+        let mut bytes = Vec::new();
+        fm.encode(&mut bytes);
+        let back: FeatureMatrix = decode_exact(&bytes).expect("round trip");
+        assert_eq!(back.schema, fm.schema);
+        assert_eq!(back.n_samples, fm.n_samples);
+        let bits = |m: &FeatureMatrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&fm));
+        let mut again = Vec::new();
+        back.encode(&mut again);
+        assert_eq!(again, bytes);
+
+        // Data that does not fill the declared rows is rejected.
+        let mut short = fm.clone();
+        short.data.pop();
+        let mut bytes = Vec::new();
+        short.encode(&mut bytes);
+        assert!(matches!(decode_exact::<FeatureMatrix>(&bytes), Err(CodecError::Invalid(_))));
+
+        // An empty matrix (no rows) round-trips too.
+        let empty = FeatureMatrix { schema: fm.schema.clone(), n_samples: 0, data: Vec::new() };
+        let mut bytes = Vec::new();
+        empty.encode(&mut bytes);
+        assert_eq!(decode_exact::<FeatureMatrix>(&bytes).expect("empty").n_samples(), 0);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The canonical 387-feature schema: structured descriptors and the paper's
 //! naming convention.
 
+use drcshap_geom::codec::{CodecError, Decode, Encode, Reader};
+use drcshap_geom::codec_enum;
 use drcshap_geom::{window_edges, Neighbor, WindowEdge, NEIGHBOR_ORDER};
 use drcshap_route::{MetalLayer, ViaLayer, ALL_METALS, ALL_VIAS};
 use serde::{Deserialize, Serialize};
@@ -305,6 +307,91 @@ impl FeatureSchema {
             h = (h ^ 0xff).wrapping_mul(FNV_PRIME);
         }
         h
+    }
+}
+
+codec_enum!(PlacementQuantity {
+    CenterX = 0,
+    CenterY = 1,
+    CellCount = 2,
+    PinCount = 3,
+    ClockPinCount = 4,
+    LocalNetCount = 5,
+    LocalPinCount = 6,
+    NdrPinCount = 7,
+    PinSpacing = 8,
+    BlockageArea = 9,
+    CellArea = 10,
+});
+codec_enum!(CongestionQuantity { Capacity = 0, Load = 1, Margin = 2 });
+
+impl Encode for FeatureDesc {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            FeatureDesc::Placement { quantity, position } => {
+                out.push(0);
+                quantity.encode(out);
+                position.encode(out);
+            }
+            FeatureDesc::Edge { quantity, layer, edge } => {
+                out.push(1);
+                quantity.encode(out);
+                layer.encode(out);
+                edge.encode(out);
+            }
+            FeatureDesc::Via { quantity, layer, position } => {
+                out.push(2);
+                quantity.encode(out);
+                layer.encode(out);
+                position.encode(out);
+            }
+        }
+    }
+}
+
+impl Decode for FeatureDesc {
+    const MIN_ENCODED_LEN: usize = 3;
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.tag()? {
+            0 => Ok(FeatureDesc::Placement {
+                quantity: PlacementQuantity::decode(r)?,
+                position: Neighbor::decode(r)?,
+            }),
+            1 => Ok(FeatureDesc::Edge {
+                quantity: CongestionQuantity::decode(r)?,
+                layer: MetalLayer::decode(r)?,
+                edge: WindowEdge::decode(r)?,
+            }),
+            2 => Ok(FeatureDesc::Via {
+                quantity: CongestionQuantity::decode(r)?,
+                layer: ViaLayer::decode(r)?,
+                position: Neighbor::decode(r)?,
+            }),
+            tag => Err(CodecError::BadTag { what: "FeatureDesc", tag }),
+        }
+    }
+}
+
+impl Encode for FeatureSchema {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.descs.encode(out);
+        self.names.encode(out);
+    }
+}
+
+impl Decode for FeatureSchema {
+    /// Decodes a schema; every descriptor must have exactly one name.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let schema = Self { descs: Vec::decode(r)?, names: Vec::decode(r)? };
+        if schema.descs.len() != schema.names.len() {
+            return Err(CodecError::Invalid(format!(
+                "{} feature descriptors but {} names",
+                schema.descs.len(),
+                schema.names.len()
+            )));
+        }
+        Ok(schema)
     }
 }
 

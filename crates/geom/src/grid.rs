@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{CodecError, Decode, Encode, Reader};
 use crate::{Point, Rect};
 
 /// Identifier of a global-routing cell (g-cell) within a [`GcellGrid`]:
@@ -207,6 +208,31 @@ impl GcellGrid {
             }
         }
         out
+    }
+}
+
+crate::codec_struct!(GcellId { x: u32, y: u32 });
+
+impl Encode for GcellGrid {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.die.encode(out);
+        self.gcell_size.encode(out);
+        self.nx.encode(out);
+        self.ny.encode(out);
+    }
+}
+
+impl Decode for GcellGrid {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let die = Rect::decode(r)?;
+        let gcell_size = i64::decode(r)?;
+        let (nx, ny) = (u32::decode(r)?, u32::decode(r)?);
+        if gcell_size <= 0 || nx == 0 || ny == 0 {
+            return Err(CodecError::Invalid(format!(
+                "g-cell grid {nx}x{ny} with g-cell size {gcell_size}"
+            )));
+        }
+        Ok(GcellGrid { die, gcell_size, nx, ny })
     }
 }
 

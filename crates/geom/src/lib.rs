@@ -21,6 +21,7 @@
 //! ```
 
 pub mod budget;
+pub mod codec;
 mod grid;
 mod point;
 mod rect;

@@ -73,6 +73,8 @@ impl From<(i64, i64)> for Point {
     }
 }
 
+crate::codec_struct!(Point { x: i64, y: i64 });
+
 #[cfg(test)]
 mod tests {
     use super::*;

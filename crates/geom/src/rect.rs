@@ -141,6 +141,8 @@ impl std::fmt::Display for Rect {
     }
 }
 
+crate::codec_struct!(Rect { lo: Point, hi: Point });
+
 #[cfg(test)]
 mod tests {
     use super::*;

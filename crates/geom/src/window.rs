@@ -5,6 +5,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{CodecError, Decode, Encode, Reader};
 use crate::{GcellGrid, GcellId};
 
 /// Position of a g-cell within a 3×3 window, using the compass codes of the
@@ -227,6 +228,30 @@ impl Window3x3 {
     /// Iterates `(position, optional g-cell)` in canonical feature order.
     pub fn iter(&self) -> impl Iterator<Item = (Neighbor, Option<GcellId>)> + '_ {
         NEIGHBOR_ORDER.iter().copied().zip(self.cells.iter().copied())
+    }
+}
+
+crate::codec_enum!(Neighbor { Nw = 0, N = 1, Ne = 2, W = 3, Center = 4, E = 5, Sw = 6, S = 7, Se = 8 });
+
+impl Encode for WindowEdge {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&[
+            self.label,
+            u8::from(self.vertical),
+            self.a.0,
+            self.a.1,
+            self.b.0,
+            self.b.1,
+        ]);
+    }
+}
+
+impl Decode for WindowEdge {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let label = u8::decode(r)?;
+        let vertical = bool::decode(r)?;
+        let [ax, ay, bx, by] = r.array()?;
+        Ok(WindowEdge { label, vertical, a: (ax, ay), b: (bx, by) })
     }
 }
 

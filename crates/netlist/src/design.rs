@@ -1,7 +1,7 @@
 //! A placed design: the netlist plus placement, die, g-cell grid and routing
 //! blockages — everything the global router and feature extractor consume.
 
-use drcshap_geom::{GcellGrid, Point, Rect};
+use drcshap_geom::{codec_struct, GcellGrid, Point, Rect};
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{CellId, PinId};
@@ -138,6 +138,16 @@ impl Design {
         (covered as f64 / region.area() as f64).min(1.0)
     }
 }
+
+codec_struct!(Placement { positions: Vec<Option<Point>> });
+codec_struct!(Design {
+    spec: DesignSpec,
+    die: Rect,
+    grid: GcellGrid,
+    netlist: Netlist,
+    placement: Placement,
+    routing_blockages: Vec<Rect>,
+});
 
 #[cfg(test)]
 mod tests {

@@ -22,6 +22,22 @@ macro_rules! arena_id {
             }
         }
 
+        impl drcshap_geom::codec::Encode for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                drcshap_geom::codec::Encode::encode(&self.0, out);
+            }
+        }
+
+        impl drcshap_geom::codec::Decode for $name {
+            const MIN_ENCODED_LEN: usize = 4;
+
+            fn decode(
+                r: &mut drcshap_geom::codec::Reader<'_>,
+            ) -> Result<Self, drcshap_geom::codec::CodecError> {
+                <u32 as drcshap_geom::codec::Decode>::decode(r).map(Self)
+            }
+        }
+
         impl std::fmt::Display for $name {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 write!(f, "{}#{}", stringify!($name), self.0)

@@ -3,7 +3,8 @@
 //! Arena-based storage with typed ids keeps the model compact (the paper's
 //! largest design, `mult_1`/`mult_2`, has ~155k cells) and serializable.
 
-use drcshap_geom::{Point, Rect};
+use drcshap_geom::codec::{CodecError, Decode, Encode, Reader};
+use drcshap_geom::{codec_enum, codec_struct, Point, Rect};
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{CellId, MacroId, NdrId, NetId, PinId};
@@ -265,6 +266,50 @@ impl Netlist {
         self.nets.iter().enumerate().map(|(i, n)| (NetId::from_index(i), n))
     }
 }
+
+codec_struct!(Cell { width: i64, height: i64, multi_height: bool, pins: Vec<PinId> });
+codec_struct!(Macro { rect: Rect, pins: Vec<PinId> });
+codec_struct!(Pin { owner: PinOwner, net: NetId });
+codec_struct!(Ndr { width_mult: f64, spacing_mult: f64 });
+codec_struct!(Net { pins: Vec<PinId>, kind: NetKind, ndr: Option<NdrId> });
+codec_struct!(Netlist {
+    cells: Vec<Cell>,
+    macros: Vec<Macro>,
+    pins: Vec<Pin>,
+    nets: Vec<Net>,
+    ndrs: Vec<Ndr>,
+});
+
+impl Encode for PinOwner {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            PinOwner::Cell { cell, offset } => {
+                out.push(0);
+                cell.encode(out);
+                offset.encode(out);
+            }
+            PinOwner::Macro { id, position } => {
+                out.push(1);
+                id.encode(out);
+                position.encode(out);
+            }
+        }
+    }
+}
+
+impl Decode for PinOwner {
+    const MIN_ENCODED_LEN: usize = 21;
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.tag()? {
+            0 => Ok(PinOwner::Cell { cell: CellId::decode(r)?, offset: Point::decode(r)? }),
+            1 => Ok(PinOwner::Macro { id: MacroId::decode(r)?, position: Point::decode(r)? }),
+            tag => Err(CodecError::BadTag { what: "PinOwner", tag }),
+        }
+    }
+}
+
+codec_enum!(NetKind { Signal = 0, Clock = 1 });
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,7 @@
 //! quadratically, so placement utilization and congestion statistics are
 //! preserved.
 
-use drcshap_geom::Rect;
+use drcshap_geom::{codec_struct, Rect};
 use serde::{Deserialize, Serialize};
 
 /// Row-height of the 65 nm standard-cell library, in DBU (1.8 µm).
@@ -204,6 +204,15 @@ pub fn group_specs(group: u8) -> Vec<DesignSpec> {
 pub fn evaluated_specs() -> Vec<DesignSpec> {
     all_specs().into_iter().filter(|s| s.table1.hotspots > 0).collect()
 }
+
+codec_struct!(Table1Row {
+    gcells: u32,
+    hotspots: u32,
+    macros: u32,
+    cells_k: f64,
+    size_um: (f64, f64)
+});
+codec_struct!(DesignSpec { name: String, group: u8, table1: Table1Row, scale: f64 });
 
 #[cfg(test)]
 mod tests {

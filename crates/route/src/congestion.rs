@@ -1,6 +1,7 @@
 //! The congestion map: per-metal-layer edge capacity/load and per-via-layer
 //! cell capacity/load — the source of all 288 congestion features.
 
+use drcshap_geom::codec::{CodecError, Decode, Encode, Reader};
 use drcshap_geom::{GcellId, Rect};
 use drcshap_netlist::Design;
 use serde::{Deserialize, Serialize};
@@ -257,6 +258,54 @@ fn blocked_fraction(border: &Rect, blockages: &[Rect]) -> f64 {
 /// Fraction of a cell's area covered by any of `blockages`.
 fn blocked_fraction_area(rect: &Rect, blockages: &[Rect]) -> f64 {
     blocked_fraction(rect, blockages)
+}
+
+impl Encode for CongestionMap {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.nx.encode(out);
+        self.ny.encode(out);
+        self.edge_cap.encode(out);
+        self.edge_load.encode(out);
+        self.via_cap.encode(out);
+        self.via_load.encode(out);
+    }
+}
+
+impl Decode for CongestionMap {
+    /// Decodes a map and checks its shape against its grid: one vector per
+    /// metal (via) layer, each as long as that layer's edge (cell) count.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let map = Self {
+            nx: u32::decode(r)?,
+            ny: u32::decode(r)?,
+            edge_cap: Vec::decode(r)?,
+            edge_load: Vec::decode(r)?,
+            via_cap: Vec::decode(r)?,
+            via_load: Vec::decode(r)?,
+        };
+        let (nx, ny) = (u64::from(map.nx), u64::from(map.ny));
+        let shape_ok = nx > 0
+            && ny > 0
+            && [&map.edge_cap, &map.edge_load].iter().all(|layers| {
+                layers.len() == ALL_METALS.len()
+                    && layers.iter().zip(ALL_METALS).all(|(v, m)| {
+                        let edges = match m.direction() {
+                            EdgeDir::Horizontal => (nx - 1) * ny,
+                            EdgeDir::Vertical => nx * (ny - 1),
+                        };
+                        v.len() as u64 == edges
+                    })
+            })
+            && [&map.via_cap, &map.via_load].iter().all(|layers| {
+                layers.len() == ALL_VIAS.len() && layers.iter().all(|v| v.len() as u64 == nx * ny)
+            });
+        if !shape_ok {
+            return Err(CodecError::Invalid(format!(
+                "congestion map vectors do not fit a {nx}x{ny} grid"
+            )));
+        }
+        Ok(map)
+    }
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 //! and the via layers V1–V4 between them (65 nm, five routing layers, as in
 //! the paper's benchmark setup).
 
+use drcshap_geom::codec_enum;
 use serde::{Deserialize, Serialize};
 
 use crate::congestion::EdgeDir;
@@ -152,6 +153,9 @@ impl std::fmt::Display for ViaLayer {
         f.write_str(self.name())
     }
 }
+
+codec_enum!(MetalLayer { M1 = 0, M2 = 1, M3 = 2, M4 = 3, M5 = 4 });
+codec_enum!(ViaLayer { V1 = 0, V2 = 1, V3 = 2, V4 = 3 });
 
 #[cfg(test)]
 mod tests {

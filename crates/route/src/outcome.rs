@@ -1,7 +1,8 @@
 //! Routing results: per-connection paths with layer-assigned segments, the
 //! final congestion map, and summary statistics.
 
-use drcshap_geom::GcellId;
+use drcshap_geom::codec::{CodecError, Decode, Encode, Reader};
+use drcshap_geom::{codec_enum, codec_struct, GcellId};
 use drcshap_netlist::NetId;
 use serde::{Deserialize, Serialize};
 
@@ -140,6 +141,47 @@ impl std::fmt::Display for RouteOutcome {
     }
 }
 
+codec_struct!(Segment { layer: MetalLayer, from: GcellId, to: GcellId });
+codec_struct!(RoutedConn { net: NetId, path: Vec<GcellId>, segments: Vec<Segment> });
+codec_struct!(RouteOutcome {
+    status: RouteStatus,
+    congestion: CongestionMap,
+    conns: Vec<RoutedConn>,
+    total_wirelength: u64,
+    local_nets: usize,
+    edge_overflow: f64,
+    overflowed_edges: usize,
+    via_overflow: f64,
+});
+
+codec_enum!(DegradeReason { DeadlineExpired = 0, Unassigned = 1 });
+
+impl Encode for RouteStatus {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            RouteStatus::Complete => out.push(0),
+            RouteStatus::Degraded { unrouted, reason } => {
+                out.push(1);
+                unrouted.encode(out);
+                reason.encode(out);
+            }
+        }
+    }
+}
+
+impl Decode for RouteStatus {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.tag()? {
+            0 => Ok(RouteStatus::Complete),
+            1 => Ok(RouteStatus::Degraded {
+                unrouted: usize::decode(r)?,
+                reason: DegradeReason::decode(r)?,
+            }),
+            tag => Err(CodecError::BadTag { what: "RouteStatus", tag }),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +216,39 @@ mod tests {
         let degraded = RouteStatus::Degraded { unrouted: 3, reason: DegradeReason::Unassigned };
         let json = serde_json::to_string(&degraded).unwrap();
         assert_eq!(serde_json::from_str::<RouteStatus>(&json).unwrap(), degraded);
+    }
+
+    #[test]
+    fn every_status_round_trips_through_the_codec() {
+        use drcshap_geom::codec::decode_exact;
+        for status in [
+            RouteStatus::Complete,
+            RouteStatus::Degraded { unrouted: 3, reason: DegradeReason::DeadlineExpired },
+            RouteStatus::Degraded { unrouted: usize::MAX, reason: DegradeReason::Unassigned },
+        ] {
+            let mut bytes = Vec::new();
+            status.encode(&mut bytes);
+            assert_eq!(decode_exact::<RouteStatus>(&bytes).unwrap(), status);
+        }
+        assert!(matches!(
+            decode_exact::<RouteStatus>(&[1, 0, 0, 0, 0, 0, 0, 0, 0, 2]),
+            Err(CodecError::BadTag { what: "DegradeReason", tag: 2 })
+        ));
+    }
+
+    #[test]
+    fn congestion_map_shape_is_checked_on_decode() {
+        use drcshap_geom::codec::decode_exact;
+        let map = CongestionMap::zeros(3, 2);
+        let mut bytes = Vec::new();
+        map.encode(&mut bytes);
+        let back: CongestionMap = decode_exact(&bytes).unwrap();
+        let mut again = Vec::new();
+        back.encode(&mut again);
+        assert_eq!(again, bytes);
+        // Claim a 4-column grid: the layer vectors no longer fit it.
+        bytes[..4].copy_from_slice(&4u32.to_le_bytes());
+        assert!(matches!(decode_exact::<CongestionMap>(&bytes), Err(CodecError::Invalid(_))));
     }
 
     #[test]

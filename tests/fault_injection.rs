@@ -4,7 +4,8 @@
 //! degraded result) — never a panic, never a silently-wrong answer.
 
 use drcshap::core::artifact::{
-    decode_model, encode_model, load_model, save_model, ModelKind, SavedModel, HEADER_LEN, MAGIC,
+    decode_model, encode_container, encode_model, load_model, save_model, ModelKind, SavedModel,
+    HEADER_LEN, MAGIC,
 };
 use drcshap::core::faults::{
     run_artifact_faults, run_vector_faults, ArtifactFault, StageFault, StageFaultKind, VectorFault,
@@ -306,6 +307,40 @@ fn corrupt_route_checkpoint_is_recomputed_not_panicked() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0x40;
     std::fs::write(&path, &bytes).unwrap();
+
+    let resumed = run_supervised(&sup_specs(), &sup, &CancelToken::new()).expect("resume");
+    assert_eq!(resumed.completed(), 2, "{}", resumed.render());
+    let fft_1 = resumed.designs.iter().find(|d| d.name == "fft_1").unwrap();
+    assert_eq!(fft_1.recovered_checkpoints, 1, "{fft_1:?}");
+    // synth + place resumed; route, drc, extract recomputed.
+    assert_eq!(fft_1.stages_resumed, 2, "{fft_1:?}");
+    assert_eq!(fft_1.stages_run, 3, "{fft_1:?}");
+    let direct = try_build_suite(&sup_specs(), &sup.pipeline).expect("direct build");
+    assert_matches_direct(&resumed, &direct);
+    cleanup(&sup);
+}
+
+#[test]
+fn json_era_checkpoint_is_recovered_and_recomputed() {
+    let sup = sup_config("json-era");
+    let first = run_supervised(&sup_specs(), &sup, &CancelToken::new()).expect("run");
+    assert_eq!(first.completed(), 2);
+
+    // Replace fft_1's route checkpoint with one in the JSON encoding older
+    // builds wrote: right kind byte, right fingerprint, valid CRC, and a
+    // payload that starts with `{`.
+    let route = &first.bundles[0].as_ref().expect("fft_1 completed").route;
+    let seed = vec![0u8; 32];
+    let json = serde_json::to_vec(&serde_json::json!({
+        "rng": { "seed": seed, "stream": 0, "word_pos_hi": 0, "word_pos_lo": 0 },
+        "degraded": false,
+        "payload": { "Route": route },
+    }))
+    .unwrap();
+    assert_eq!(json[0], b'{');
+    let path = sup.run_dir.join("fft_1").join("route.ckpt");
+    std::fs::write(&path, encode_container(Stage::Route.code(), sup.pipeline.fingerprint(), &json))
+        .unwrap();
 
     let resumed = run_supervised(&sup_specs(), &sup, &CancelToken::new()).expect("resume");
     assert_eq!(resumed.completed(), 2, "{}", resumed.render());
