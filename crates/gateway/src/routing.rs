@@ -56,11 +56,16 @@ impl HashRing {
     }
 
     /// The full failover order for `key`: every shard exactly once,
-    /// starting with the owner (the first virtual point clockwise of
-    /// `key`, wrapping at the top of the hash space).
+    /// starting with the owner (the first virtual point clockwise of the
+    /// key's own FNV-1a hash, wrapping at the top of the hash space).
+    ///
+    /// Hashing here, rather than placing the raw key on the ring, is what
+    /// spreads small pinned keys (g-cell ids 0, 1, 2, …) over every
+    /// shard: raw, they would all fall before the first ring point.
     #[must_use]
     pub fn route(&self, key: u64) -> Vec<usize> {
-        let start = self.points.partition_point(|&(hash, _)| hash < key) % self.points.len();
+        let hash = fnv1a64(&key.to_le_bytes());
+        let start = self.points.partition_point(|&(point, _)| point < hash) % self.points.len();
         let mut seen = vec![false; self.shards];
         let mut order = Vec::with_capacity(self.shards);
         for i in 0..self.points.len() {
@@ -122,6 +127,22 @@ mod tests {
         // or hog the keyspace.
         for &c in &counts {
             assert!(c > 400 && c < 2200, "owner distribution skewed: {counts:?}");
+        }
+    }
+
+    #[test]
+    fn small_pinned_keys_reach_every_shard() {
+        let vnodes = crate::GatewayConfig::default().vnodes;
+        for shards in [2usize, 4] {
+            let ring = HashRing::new(shards, vnodes);
+            let mut counts = vec![0usize; shards];
+            for key in 0..1000u64 {
+                counts[ring.route(key)[0]] += 1;
+            }
+            // A fair share is 1000 / shards; no shard may get under half
+            // of it.
+            let floor = 1000 / shards / 2;
+            assert!(counts.iter().all(|&c| c >= floor), "{shards} shards starve: {counts:?}");
         }
     }
 

@@ -80,7 +80,8 @@ pub fn explain_tree(tree: &DecisionTree, x: &[f32]) -> Explanation {
 /// outputs, and SHAP is linear in the model). Trees are explained in
 /// parallel; each rayon worker reuses one [`TreeShapScratch`] and one
 /// accumulator across every tree it takes, so the whole forest walk costs a
-/// handful of allocations rather than two per tree.
+/// handful of allocations rather than two per tree. The number of leaves
+/// pruned from the walk is reported as the `shap/leaves_skipped` counter.
 ///
 /// # Panics
 ///
@@ -91,7 +92,7 @@ pub fn explain_forest(forest: &RandomForest, x: &[f32]) -> Explanation {
         telemetry::span_with("shap/explain_forest", || format!("{} trees", forest.trees().len()));
     telemetry::counter("shap/trees_explained", forest.trees().len() as u64);
     let n_trees = forest.trees().len() as f64;
-    let contributions = forest
+    let (sums, leaves_skipped) = forest
         .trees()
         .par_iter()
         .fold(
@@ -101,19 +102,18 @@ pub fn explain_forest(forest: &RandomForest, x: &[f32]) -> Explanation {
                 (scratch, acc)
             },
         )
-        .map(|(_, acc)| acc)
+        .map(|(scratch, acc)| (acc, scratch.leaves_skipped))
         .reduce(
-            || vec![0.0; forest.n_features()],
-            |mut acc, phi| {
+            || (vec![0.0; forest.n_features()], 0),
+            |(mut acc, skipped), (phi, more)| {
                 for (a, p) in acc.iter_mut().zip(&phi) {
                     *a += p;
                 }
-                acc
+                (acc, skipped + more)
             },
-        )
-        .into_iter()
-        .map(|v| v / n_trees)
-        .collect();
+        );
+    telemetry::counter("shap/leaves_skipped", leaves_skipped);
+    let contributions = sums.into_iter().map(|v| v / n_trees).collect();
     Explanation {
         base_value: forest.expected_value(),
         prediction: forest.predict_proba(x),

@@ -14,6 +14,8 @@
 
 use drcshap_forest::{DecisionTree, TreeNode};
 
+use crate::tree_shap::fill_live_mask;
+
 /// A dense symmetric `M × M` interaction matrix (row-major).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InteractionValues {
@@ -78,7 +80,10 @@ impl InteractionValues {
 /// Computes the SHAP interaction values of `tree` for sample `x`.
 ///
 /// Cost: one conditional TreeSHAP pass per feature the tree uses (so
-/// `O(U · L · D²)` for `U` used features, `L` leaves, depth `D`).
+/// `O(U · L · D²)` for `U` used features, `L` leaves, depth `D`). Like
+/// [`tree_shap`](crate::tree_shap), every pass skips the subtrees that
+/// cannot add to Φ (zero-valued leaves under finite positive covers), by
+/// the same rule and with the same exactness argument.
 ///
 /// # Panics
 ///
@@ -150,8 +155,13 @@ pub fn forest_shap_interactions(
 /// (`absent`).
 pub fn shap_conditional(tree: &DecisionTree, x: &[f32], cond: usize, present: bool) -> Vec<f64> {
     assert_eq!(x.len(), tree.n_features(), "feature count mismatch");
+    let nodes = tree.nodes();
+    let mut live = Vec::new();
+    fill_live_mask(nodes, &mut live);
     let mut phi = vec![0.0; tree.n_features()];
-    recurse(tree.nodes(), 0, Vec::new(), 1.0, 1.0, -1, x, cond as u32, present, 1.0, &mut phi);
+    if live[0] {
+        recurse(nodes, &live, 0, Vec::new(), 1.0, 1.0, -1, x, cond as u32, present, 1.0, &mut phi);
+    }
     phi
 }
 
@@ -163,9 +173,11 @@ struct PathElem {
     w: f64,
 }
 
+/// The conditional walk; only `live` children are entered.
 #[allow(clippy::too_many_arguments)]
 fn recurse(
     nodes: &[TreeNode],
+    live: &[bool],
     j: usize,
     path: Vec<PathElem>,
     pz: f64,
@@ -204,22 +216,18 @@ fn recurse(
     // for it; route (present) or average (absent) via the scalar fraction.
     if node.feature == cond {
         if present {
-            recurse(nodes, hot, m, 1.0, 1.0, -2, x, cond, present, cond_frac, phi);
+            if live[hot] {
+                recurse(nodes, live, hot, m, 1.0, 1.0, -2, x, cond, present, cond_frac, phi);
+            }
         } else {
-            recurse(
-                nodes,
-                hot,
-                m.clone(),
-                1.0,
-                1.0,
-                -2,
-                x,
-                cond,
-                present,
-                cond_frac * hot_frac,
-                phi,
-            );
-            recurse(nodes, cold, m, 1.0, 1.0, -2, x, cond, present, cond_frac * cold_frac, phi);
+            if live[hot] {
+                let frac = cond_frac * hot_frac;
+                recurse(nodes, live, hot, m.clone(), 1.0, 1.0, -2, x, cond, present, frac, phi);
+            }
+            if live[cold] {
+                let frac = cond_frac * cold_frac;
+                recurse(nodes, live, cold, m, 1.0, 1.0, -2, x, cond, present, frac, phi);
+            }
         }
         return;
     }
@@ -232,32 +240,26 @@ fn recurse(
         io = m[k].o;
         m = unwind(m, k);
     }
-    recurse(
-        nodes,
-        hot,
-        m.clone(),
-        iz * hot_frac,
-        io,
-        node.feature as i32,
-        x,
-        cond,
-        present,
-        cond_frac,
-        phi,
-    );
-    recurse(
-        nodes,
-        cold,
-        m,
-        iz * cold_frac,
-        0.0,
-        node.feature as i32,
-        x,
-        cond,
-        present,
-        cond_frac,
-        phi,
-    );
+    let d = node.feature as i32;
+    if live[hot] {
+        recurse(
+            nodes,
+            live,
+            hot,
+            m.clone(),
+            iz * hot_frac,
+            io,
+            d,
+            x,
+            cond,
+            present,
+            cond_frac,
+            phi,
+        );
+    }
+    if live[cold] {
+        recurse(nodes, live, cold, m, iz * cold_frac, 0.0, d, x, cond, present, cond_frac, phi);
+    }
 }
 
 // extend/unwind are identical to tree_shap's, but the recursion above must
@@ -323,7 +325,7 @@ mod tests {
     use super::*;
     use crate::exact::cond_exp;
     use crate::tree_shap;
-    use drcshap_forest::TreeTrainer;
+    use drcshap_forest::{RandomForestTrainer, TreeTrainer};
     use drcshap_ml::{Dataset, Trainer};
     use proptest::prelude::*;
     use rand::Rng;
@@ -499,6 +501,158 @@ mod tests {
                 assert!((plain[j] - cond_a[j]).abs() < 1e-9);
             }
         }
+    }
+
+    /// The interaction walk as it was before pruning: enters every child.
+    #[allow(clippy::too_many_arguments)]
+    fn recurse_unpruned(
+        nodes: &[TreeNode],
+        j: usize,
+        path: Vec<PathElem>,
+        pz: f64,
+        po: f64,
+        pi: i32,
+        x: &[f32],
+        cond: u32,
+        present: bool,
+        cond_frac: f64,
+        phi: &mut [f64],
+    ) {
+        if cond_frac == 0.0 {
+            return;
+        }
+        let m = extend(path, pz, po, pi);
+        let node = &nodes[j];
+        if node.is_leaf() {
+            for i in 1..m.len() {
+                let w = unwound_sum(&m, i);
+                phi[m[i].d as usize] += w * (m[i].o - m[i].z) * node.value * cond_frac;
+            }
+            return;
+        }
+        let f = node.feature as usize;
+        let (hot, cold) = if x[f] <= node.threshold {
+            (node.left as usize, node.right as usize)
+        } else {
+            (node.right as usize, node.left as usize)
+        };
+        let rj = node.cover.max(1e-12);
+        let hot_frac = nodes[hot].cover / rj;
+        let cold_frac = nodes[cold].cover / rj;
+        if node.feature == cond {
+            if present {
+                recurse_unpruned(nodes, hot, m, 1.0, 1.0, -2, x, cond, present, cond_frac, phi);
+            } else {
+                let frac = cond_frac * hot_frac;
+                recurse_unpruned(nodes, hot, m.clone(), 1.0, 1.0, -2, x, cond, present, frac, phi);
+                let frac = cond_frac * cold_frac;
+                recurse_unpruned(nodes, cold, m, 1.0, 1.0, -2, x, cond, present, frac, phi);
+            }
+            return;
+        }
+        let (mut iz, mut io) = (1.0, 1.0);
+        let mut m = m;
+        if let Some(k) = m.iter().skip(1).position(|e| e.d == node.feature as i32) {
+            let k = k + 1;
+            iz = m[k].z;
+            io = m[k].o;
+            m = unwind(m, k);
+        }
+        let d = node.feature as i32;
+        recurse_unpruned(
+            nodes,
+            hot,
+            m.clone(),
+            iz * hot_frac,
+            io,
+            d,
+            x,
+            cond,
+            present,
+            cond_frac,
+            phi,
+        );
+        recurse_unpruned(nodes, cold, m, iz * cold_frac, 0.0, d, x, cond, present, cond_frac, phi);
+    }
+
+    fn shap_conditional_unpruned(
+        tree: &DecisionTree,
+        x: &[f32],
+        cond: usize,
+        present: bool,
+    ) -> Vec<f64> {
+        let mut phi = vec![0.0; tree.n_features()];
+        let nodes = tree.nodes();
+        recurse_unpruned(
+            nodes,
+            0,
+            Vec::new(),
+            1.0,
+            1.0,
+            -1,
+            x,
+            cond as u32,
+            present,
+            1.0,
+            &mut phi,
+        );
+        phi
+    }
+
+    /// Hotspot-like data: at most 5% positives, so most leaves are 0.0.
+    fn rare_positive_dataset(n: usize, m: usize, seed: u64) -> Dataset {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut x = Vec::new();
+        let mut y = Vec::new();
+        for _ in 0..n {
+            let row: Vec<f32> = (0..m).map(|_| rng.gen_range(0.0..1.0)).collect();
+            y.push(row[0] > 0.9 && row[1] > 0.7);
+            x.extend_from_slice(&row);
+        }
+        Dataset::from_parts(x, y, vec![0; n], m)
+    }
+
+    #[test]
+    fn pruned_interaction_walk_is_bit_identical_to_the_unpruned_one() {
+        let data = rare_positive_dataset(400, 4, 17);
+        let positives = data.num_positives();
+        assert!(positives > 0 && positives * 20 <= data.n_samples(), "{positives} positives");
+        let forest = RandomForestTrainer { n_trees: 8, ..Default::default() }.fit(&data, 3);
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut skipped = 0;
+        for tree in forest.trees() {
+            skipped += fill_live_mask(tree.nodes(), &mut Vec::new());
+            let mut used: Vec<usize> =
+                tree.nodes().iter().filter(|n| !n.is_leaf()).map(|n| n.feature as usize).collect();
+            used.sort_unstable();
+            used.dedup();
+            for _ in 0..6 {
+                let x: Vec<f32> = (0..4).map(|_| rng.gen_range(0.0..1.0)).collect();
+                for cond in 0..4 {
+                    for present in [true, false] {
+                        let pruned = shap_conditional(tree, &x, cond, present);
+                        let full = shap_conditional_unpruned(tree, &x, cond, present);
+                        let (a, b): (Vec<u64>, Vec<u64>) = (
+                            pruned.iter().map(|v| v.to_bits()).collect(),
+                            full.iter().map(|v| v.to_bits()).collect(),
+                        );
+                        assert_eq!(a, b, "cond {cond} present {present} at {x:?}");
+                    }
+                }
+                // Off-diagonals over the used features assemble from the
+                // same conditional passes, so they match bit for bit too.
+                let inter = tree_shap_interactions(tree, &x);
+                for &i in &used {
+                    let present = shap_conditional_unpruned(tree, &x, i, true);
+                    let absent = shap_conditional_unpruned(tree, &x, i, false);
+                    for &j in used.iter().filter(|&&j| j != i) {
+                        let want = (present[j] - absent[j]) / 2.0;
+                        assert_eq!(inter.get(i, j).to_bits(), want.to_bits(), "({i},{j})");
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0, "scenario has no zero-valued leaves to skip");
     }
 
     proptest! {

@@ -20,6 +20,34 @@
 //! thousands of trees. The arithmetic — operand values, operation order —
 //! is identical to the textbook per-call-`Vec` formulation, so results are
 //! bit-for-bit unchanged.
+//!
+//! # Pruning
+//!
+//! DRC hotspots are rare, so most leaves of a trained forest have value
+//! `0.0` — yet Algorithm 2 spends its `O(depth²)` unwind on every leaf. Per
+//! tree call, one recursive pass over the tree marks each node *live* when
+//! some leaf below it has `value != 0.0` (NaN counts as nonzero), or when
+//! the node, one of its descendants or one of its ancestors has a cover
+//! that is not finite and positive. The walk then enters only live
+//! children (and skips a tree whose root is dead); every subtree it does
+//! enter is walked with exactly the old arithmetic. The pass recurses from
+//! the root rather than scanning indices backwards, because a deserialized
+//! tree need not store its nodes in pre-order.
+//!
+//! Why this is exact: with finite positive covers every path weight stays
+//! finite, so every skipped leaf would have added
+//! `w · (o − z) · 0.0 = ±0.0`. An entry of φ starts at `+0.0`, no sum of
+//! `+0.0` and further terms ever yields `−0.0`, and adding `±0.0` to any
+//! value but `−0.0` changes no bit — so skipping those additions changes
+//! no output bit. Zero or non-finite covers (which make an unpruned walk
+//! divide by zero and produce NaN or ∞) are never pruned, so those outputs
+//! are kept too. Two boundaries of the argument: covers whose ratios leave
+//! the `f64` range (a child cover ~1e300 times its parent's; never produced
+//! by training, where a child's cover is at most its parent's) could in
+//! principle overflow a weight the pruned walk no longer computes; and a
+//! caller that accumulates through [`tree_shap_into`] into an entry that
+//! already holds `−0.0` may keep `−0.0` where an unpruned walk would have
+//! turned it into `+0.0`.
 
 use drcshap_forest::{DecisionTree, TreeNode};
 
@@ -38,14 +66,19 @@ struct PathElem {
 
 const EMPTY: PathElem = PathElem { d: -1, z: 0.0, o: 0.0, w: 0.0 };
 
-/// Reusable scratch memory for the tree explainer: the flat path arena.
+/// Reusable scratch memory for the tree explainer: the flat path arena
+/// and the per-node live mask of the [pruning](self#pruning) pass.
 ///
 /// Create one per thread and pass it to [`tree_shap_into`] for every tree;
-/// it grows to the working-set high-water mark (`O(depth²)` elements) and
-/// is never shrunk, so steady-state explanation allocates nothing.
+/// it grows to the working-set high-water mark (`O(depth²)` path elements,
+/// one flag per node) and is never shrunk, so steady-state explanation
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct TreeShapScratch {
     arena: Vec<PathElem>,
+    live: Vec<bool>,
+    /// Leaves skipped by the live mask, summed over every call.
+    pub(crate) leaves_skipped: u64,
 }
 
 impl TreeShapScratch {
@@ -92,15 +125,57 @@ pub fn tree_shap_into(
 ) {
     assert_eq!(x.len(), tree.n_features(), "feature count mismatch");
     assert_eq!(phi.len(), tree.n_features(), "phi length mismatch");
-    recurse(tree.nodes(), 0, 0, 0, 1.0, 1.0, -1, x, phi, &mut scratch.arena);
+    let nodes = tree.nodes();
+    scratch.leaves_skipped += fill_live_mask(nodes, &mut scratch.live);
+    if scratch.live[0] {
+        recurse(nodes, &scratch.live, 0, 0, 0, 1.0, 1.0, -1, x, phi, &mut scratch.arena);
+    }
+}
+
+/// Fills `live[j]` for every node reachable from the root: true when the
+/// subtree under `j` can add to φ (see the module's [pruning](self#pruning)
+/// notes). Returns the number of leaves the walk will skip. Shared by the
+/// SHAP and interaction walks so both prune by one rule.
+pub(crate) fn fill_live_mask(nodes: &[TreeNode], live: &mut Vec<bool>) -> u64 {
+    live.clear();
+    live.resize(nodes.len(), false);
+    let mut skipped = 0;
+    mark_live(nodes, 0, false, live, &mut skipped);
+    skipped
+}
+
+/// One node of [`fill_live_mask`]'s recursion. `poisoned` is true when an
+/// ancestor's cover is not finite and positive: such a cover can turn every
+/// weight below it into NaN or ∞, so the whole subtree stays walked.
+fn mark_live(
+    nodes: &[TreeNode],
+    j: usize,
+    poisoned: bool,
+    live: &mut [bool],
+    skipped: &mut u64,
+) -> bool {
+    let node = &nodes[j];
+    let poisoned = poisoned || !(node.cover.is_finite() && node.cover > 0.0);
+    let is_live = if node.is_leaf() {
+        let is_live = poisoned || node.value != 0.0;
+        *skipped += u64::from(!is_live);
+        is_live
+    } else {
+        let left = mark_live(nodes, node.left as usize, poisoned, live, skipped);
+        let right = mark_live(nodes, node.right as usize, poisoned, live, skipped);
+        poisoned || left || right
+    };
+    live[j] = is_live;
+    is_live
 }
 
 /// The recursion. The current call's path lives in
 /// `arena[start .. start + len]`; everything below `start` belongs to
-/// ancestors and is never touched.
+/// ancestors and is never touched. Only `live` children are entered.
 #[allow(clippy::too_many_arguments)]
 fn recurse(
     nodes: &[TreeNode],
+    live: &[bool],
     j: usize,
     start: usize,
     len: usize,
@@ -152,14 +227,19 @@ fn recurse(
     // Hot child: append a copy of this path after the current region (the
     // arena equivalent of `m.clone()`); the child only ever writes at or
     // beyond its own region, so ours survives for the cold branch.
-    let child_start = start + len;
-    if arena.len() < child_start + len {
-        arena.resize(child_start + len, EMPTY);
+    let d = node.feature as i32;
+    if live[hot] {
+        let child_start = start + len;
+        if arena.len() < child_start + len {
+            arena.resize(child_start + len, EMPTY);
+        }
+        arena.copy_within(start..start + len, child_start);
+        recurse(nodes, live, hot, child_start, len, iz * hot_frac, io, d, x, phi, arena);
     }
-    arena.copy_within(start..start + len, child_start);
-    recurse(nodes, hot, child_start, len, iz * hot_frac, io, node.feature as i32, x, phi, arena);
     // Cold child: reuses this region in place (the `m` move).
-    recurse(nodes, cold, start, len, iz * cold_frac, 0.0, node.feature as i32, x, phi, arena);
+    if live[cold] {
+        recurse(nodes, live, cold, start, len, iz * cold_frac, 0.0, d, x, phi, arena);
+    }
 }
 
 /// Grows the path by one split, updating the permutation weights. The new
@@ -221,8 +301,9 @@ fn unwound_sum(m: &[PathElem], i: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drcshap_forest::TreeTrainer;
+    use drcshap_forest::{TreeTrainer, LEAF};
     use drcshap_ml::{Dataset, Trainer};
+    use serde_json::{Map, Number, Value};
 
     fn dataset(rows: &[(&[f32], bool)]) -> Dataset {
         let m = rows[0].0.len();
@@ -370,6 +451,149 @@ mod tests {
                 let reference = tree_shap(tree, &probe);
                 assert_eq!(phi[0].to_bits(), reference[0].to_bits());
             }
+        }
+    }
+
+    /// A hand-built tree deserialized through serde. Each node is
+    /// `(feature, threshold, left, right, value, cover)`; the value tree is
+    /// assembled directly because JSON text cannot carry NaN or ∞.
+    fn hand_tree(n_features: usize, nodes: &[(u32, f32, i32, i32, f64, f64)]) -> DecisionTree {
+        let int = |v: i64| {
+            Value::Number(if v < 0 { Number::NegInt(v) } else { Number::PosInt(v as u64) })
+        };
+        let float = |v: f64| Value::Number(Number::Float(v));
+        let nodes = nodes
+            .iter()
+            .map(|&(feature, threshold, left, right, value, cover)| {
+                let mut node = Map::new();
+                node.insert("feature".to_string(), int(feature.into()));
+                node.insert("threshold".to_string(), float(threshold.into()));
+                node.insert("left".to_string(), int(left.into()));
+                node.insert("right".to_string(), int(right.into()));
+                node.insert("value".to_string(), float(value));
+                node.insert("cover".to_string(), float(cover));
+                Value::Object(node)
+            })
+            .collect();
+        let mut tree = Map::new();
+        tree.insert("nodes".to_string(), Value::Array(nodes));
+        tree.insert("n_features".to_string(), int(n_features as i64));
+        serde_json::from_value(Value::Object(tree)).expect("hand-built tree deserializes")
+    }
+
+    fn bits(phi: &[f64]) -> Vec<u64> {
+        phi.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn all_zero_tree_gives_positive_zero_phi_and_skips_every_leaf() {
+        let tree = hand_tree(
+            2,
+            &[
+                (0, 0.5, 1, 2, 0.0, 5.0),
+                (1, 0.5, 3, 4, 0.0, 3.0),
+                (0, 0.0, LEAF, LEAF, 0.0, 2.0),
+                (0, 0.0, LEAF, LEAF, 0.0, 1.0),
+                (0, 0.0, LEAF, LEAF, 0.0, 2.0),
+            ],
+        );
+        for probe in [[0.2f32, 0.2], [0.2, 0.8], [0.8, 0.1]] {
+            let mut scratch = TreeShapScratch::new();
+            let mut phi = vec![0.0; 2];
+            tree_shap_into(&tree, &probe, &mut scratch, &mut phi);
+            assert_eq!(bits(&phi), vec![0u64; 2], "phi must be +0.0 exactly at {probe:?}");
+            assert_eq!(scratch.leaves_skipped, 3);
+        }
+    }
+
+    #[test]
+    fn zero_cover_leaf_valued_zero_keeps_the_nan() {
+        // The right leaf has value 0.0 but cover 0: the cold path's zero
+        // fraction divides by zero in the unwind, so an unpruned walk
+        // yields NaN. That leaf must stay walked.
+        let tree = hand_tree(
+            2,
+            &[
+                (0, 0.5, 1, 2, 1.0, 4.0),
+                (0, 0.0, LEAF, LEAF, 1.0, 4.0),
+                (0, 0.0, LEAF, LEAF, 0.0, 0.0),
+            ],
+        );
+        let phi = tree_shap(&tree, &[0.2, 0.7]);
+        assert!(phi[0].is_nan(), "zero-cover leaf skipped: phi {phi:?}");
+        assert_eq!(phi[1].to_bits(), 0);
+    }
+
+    #[test]
+    fn non_finite_ancestor_cover_keeps_its_subtree_walked() {
+        // An infinite root cover zeroes both child fractions, which turns
+        // the cold leaf's weight into NaN even though that leaf's own cover
+        // is finite and its value is 0.0.
+        let tree = hand_tree(
+            1,
+            &[
+                (0, 0.5, 1, 2, 0.5, f64::INFINITY),
+                (0, 0.0, LEAF, LEAF, 1.0, 2.0),
+                (0, 0.0, LEAF, LEAF, 0.0, 2.0),
+            ],
+        );
+        let phi = tree_shap(&tree, &[0.2]);
+        assert!(phi[0].is_nan(), "subtree under an infinite cover skipped: phi {phi:?}");
+    }
+
+    #[test]
+    fn nan_leaf_value_is_walked() {
+        let tree = hand_tree(
+            2,
+            &[
+                (1, 0.5, 1, 2, 0.0, 4.0),
+                (0, 0.0, LEAF, LEAF, 0.0, 2.0),
+                (0, 0.0, LEAF, LEAF, f64::NAN, 2.0),
+            ],
+        );
+        let mut live = Vec::new();
+        assert_eq!(fill_live_mask(tree.nodes(), &mut live), 1);
+        assert_eq!(live, vec![true, false, true]);
+        for probe in [[0.0f32, 0.2], [0.0, 0.9]] {
+            let phi = tree_shap(&tree, &probe);
+            assert!(phi[1].is_nan(), "NaN leaf skipped at {probe:?}: phi {phi:?}");
+            assert_eq!(phi[0].to_bits(), 0);
+        }
+    }
+
+    #[test]
+    fn children_stored_before_their_parent_get_the_right_mask() {
+        // Node 3 is the parent of nodes 1 and 2, so a reverse index scan
+        // would read their flags before computing them.
+        let shuffled = hand_tree(
+            2,
+            &[
+                (0, 0.5, 3, 4, 0.2, 10.0),
+                (0, 0.0, LEAF, LEAF, 1.0, 2.0),
+                (0, 0.0, LEAF, LEAF, 0.0, 3.0),
+                (1, 0.5, 1, 2, 0.4, 5.0),
+                (0, 0.0, LEAF, LEAF, 0.0, 5.0),
+            ],
+        );
+        let pre_order = hand_tree(
+            2,
+            &[
+                (0, 0.5, 1, 4, 0.2, 10.0),
+                (1, 0.5, 2, 3, 0.4, 5.0),
+                (0, 0.0, LEAF, LEAF, 1.0, 2.0),
+                (0, 0.0, LEAF, LEAF, 0.0, 3.0),
+                (0, 0.0, LEAF, LEAF, 0.0, 5.0),
+            ],
+        );
+        let mut live = Vec::new();
+        assert_eq!(fill_live_mask(shuffled.nodes(), &mut live), 2);
+        assert_eq!(live, vec![true, true, false, true, false]);
+        for probe in [[0.2f32, 0.2], [0.2, 0.8], [0.8, 0.2], [0.8, 0.8]] {
+            let phi = tree_shap(&shuffled, &probe);
+            assert_eq!(bits(&phi), bits(&tree_shap(&pre_order, &probe)), "at {probe:?}");
+            let gap =
+                shuffled.nodes()[0].value + phi.iter().sum::<f64>() - shuffled.predict(&probe);
+            assert!(gap.abs() < 1e-12, "local accuracy gap {gap} at {probe:?}");
         }
     }
 }

@@ -10,8 +10,8 @@
 //! - [`scenario`]: every scenario (forest, dataset, probe set, metric
 //!   sample, chaos workload) is a pure function of `(seed, SizeLevel)`.
 //! - [`oracle`]: each check pits the production code against an
-//!   independent implementation (`shap::exact`, `O(n²)` reference
-//!   metrics, the uncompiled forest) or a metamorphic invariant
+//!   independent implementation (`shap::exact`, the textbook TreeSHAP and
+//!   `O(n²)` reference metrics in [`reference`], the uncompiled forest) or a metamorphic invariant
 //!   (additivity, dummy-feature nullity, monotone-transform invariance).
 //! - [`chaos`]: a multi-threaded soak of the serve engine under hot
 //!   swaps, overload bursts, and a shutdown drain, with bitwise

@@ -2,12 +2,12 @@
 //! properties, every one a pure function of `(seed, SizeLevel)`.
 //!
 //! A differential oracle pits two independent implementations of the same
-//! contract against each other (TreeSHAP vs brute-force `shap::exact`,
-//! compiled batch scoring vs the reference forest, serve responses vs
-//! offline prediction, fast metrics vs `reference::*`). A metamorphic
-//! property checks an invariant a correct implementation must satisfy
-//! under an input transformation (monotone score transforms, consistent
-//! pair permutations, dummy features).
+//! contract against each other (TreeSHAP vs brute-force `shap::exact` and
+//! vs the textbook Algorithm 2, compiled batch scoring vs the reference
+//! forest, serve responses vs offline prediction, fast metrics vs
+//! `reference::*`). A metamorphic property checks an invariant a correct
+//! implementation must satisfy under an input transformation (monotone
+//! score transforms, consistent pair permutations, dummy features).
 //!
 //! On failure a check reports a [`Failure`] whose `(check, seed, level)`
 //! triple regenerates the exact scenario; [`minimize`] shrinks the level
@@ -82,6 +82,36 @@ fn check_tree_shap_vs_exact(seed: u64, level: SizeLevel) -> Result<(), String> {
                     ));
                 }
             }
+        }
+    }
+    Ok(())
+}
+
+/// `tree_shap` (which prunes all-zero subtrees) and `explain_forest`
+/// against the textbook Algorithm 2 (which walks every leaf), bit for bit,
+/// on hotspot-like forests where most leaves are 0.0.
+fn check_tree_shap_vs_textbook(seed: u64, level: SizeLevel) -> Result<(), String> {
+    let forest = scenario::rare_positive_forest(seed, level);
+    let m = forest.n_features();
+    let mut rng = scenario::rng_for(seed ^ 0x7E47);
+    let mut probes = scenario::probes(&mut rng, m, level.n_probes(), false);
+    probes.extend(scenario::probes(&mut rng, m, level.n_probes(), true));
+    let bits = |phi: &[f64]| phi.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (p, x) in probes.iter().enumerate() {
+        for (t, tree) in forest.trees().iter().enumerate() {
+            let fast = tree_shap_under_test(tree, x);
+            let mut textbook = vec![0.0; m];
+            reference::tree_shap_textbook(tree, x, &mut textbook);
+            if bits(&fast) != bits(&textbook) {
+                return Err(format!(
+                    "tree {t} probe {p}: tree_shap {fast:?} vs textbook {textbook:?}"
+                ));
+            }
+        }
+        let fast = explain_forest(&forest, x).contributions;
+        let textbook = reference::forest_shap_textbook(&forest, x);
+        if bits(&fast) != bits(&textbook) {
+            return Err(format!("probe {p}: explain_forest {fast:?} vs textbook {textbook:?}"));
         }
     }
     Ok(())
@@ -445,6 +475,7 @@ fn check_degenerate_groups_train(seed: u64, level: SizeLevel) -> Result<(), Stri
 pub fn registry() -> Vec<Check> {
     vec![
         Check { name: "tree-shap-vs-exact", run: check_tree_shap_vs_exact },
+        Check { name: "tree-shap-vs-textbook", run: check_tree_shap_vs_textbook },
         Check { name: "shap-additivity", run: check_shap_additivity },
         Check { name: "shap-dummy-feature-zero", run: check_dummy_feature_zero },
         Check { name: "compiled-vs-reference", run: check_compiled_vs_reference },

@@ -113,6 +113,59 @@ pub fn forest(seed: u64, level: SizeLevel) -> RandomForest {
     trainer.fit(&data, seed ^ 0xF0E5)
 }
 
+/// A hotspot-like dataset: a positive share of at most 5% (and at least one
+/// positive), so most leaves of a forest trained on it have value `0.0`.
+/// Twice [`SizeLevel::n_samples`] rows in `[0, 1]`; the positives are the
+/// rows with the highest noisy linear score.
+pub fn rare_positive_dataset(seed: u64, level: SizeLevel) -> Dataset {
+    let mut rng = rng_for(seed ^ 0x5A4E);
+    let m = level.n_features();
+    let n = 2 * level.n_samples();
+    let weights: Vec<f32> = (0..m).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let mut x = Vec::with_capacity(n * m);
+    let mut scores = Vec::with_capacity(n);
+    for _ in 0..n {
+        let row: Vec<f32> = (0..m).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+        let score: f32 = row.iter().zip(&weights).map(|(a, b)| a * b).sum();
+        scores.push(score + rng.gen_range(-0.15f32..0.15));
+        x.extend_from_slice(&row);
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+    let mut y = vec![false; n];
+    for &i in &order[..(n / 20).max(1)] {
+        y[i] = true;
+    }
+    let groups = (0..n).map(|i| (i % 4) as u32).collect();
+    Dataset::from_parts(x, y, groups, m)
+}
+
+/// A small trained Random Forest over [`rare_positive_dataset`]. Before
+/// every third tree sits one trained on the same rows with every label
+/// negative — what a bootstrap that draws no positive yields at hotspot
+/// rates — which is a single 0.0 leaf that the explainer skips whole.
+pub fn rare_positive_forest(seed: u64, level: SizeLevel) -> RandomForest {
+    let data = rare_positive_dataset(seed, level);
+    let trainer = RandomForestTrainer { n_trees: level.n_trees(), ..Default::default() };
+    let rare = trainer.fit(&data, seed ^ 0x5A4F);
+    let negatives = Dataset::from_parts(
+        data.as_slice().to_vec(),
+        vec![false; data.n_samples()],
+        data.groups().to_vec(),
+        data.n_features(),
+    );
+    let empty =
+        RandomForestTrainer { n_trees: 1, ..Default::default() }.fit(&negatives, seed ^ 0x5A50);
+    let mut trees = Vec::with_capacity(rare.trees().len() * 4 / 3 + 1);
+    for (i, tree) in rare.trees().iter().enumerate() {
+        if i % 3 == 1 {
+            trees.push(empty.trees()[0].clone());
+        }
+        trees.push(tree.clone());
+    }
+    RandomForest::from_trees(trees, data.n_features())
+}
+
 /// Degenerate forest shapes the compiled scoring layout must survive:
 /// trees with the fewest leaves a layout can hold. Returns
 /// `(shape-name, forest)` pairs, all trained over [`dataset`]-derived
@@ -266,6 +319,30 @@ mod tests {
                     }
                     other => panic!("unknown degenerate shape {other}"),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn rare_positive_forests_are_mostly_zero_leaves() {
+        for seed in 0..8 {
+            for level in [SizeLevel(0), SizeLevel(1), SizeLevel(2)] {
+                let data = rare_positive_dataset(seed, level);
+                let positives = data.num_positives();
+                assert!(positives >= 1 && positives * 20 <= data.n_samples(), "{positives}");
+                let leaves: Vec<f64> = rare_positive_forest(seed, level)
+                    .trees()
+                    .iter()
+                    .flat_map(|t| t.nodes().iter().filter(|n| n.is_leaf()).map(|n| n.value))
+                    .collect();
+                let zeros = leaves.iter().filter(|&&v| v == 0.0).count();
+                assert!(
+                    2 * zeros > leaves.len(),
+                    "seed {seed}: {zeros} of {} leaves",
+                    leaves.len()
+                );
+                let forest = rare_positive_forest(seed, level);
+                assert!(forest.trees().iter().any(|t| t.num_leaves() == 1), "no all-zero tree");
             }
         }
     }
